@@ -1,4 +1,4 @@
-"""cusp_census: the lattice -> ball pipeline on E7/zeta4, E6/zeta4 and E6/zeta6.
+"""cusp_census: the lattice -> ball pipeline on E6/zeta6 and E6/zeta4.
 
 Per lattice: signature, the box-1 scans at norm k/2 (roots) and 0, the
 unit-orbit filter on the isotropic hits (what cusp_scan does after its own
@@ -6,7 +6,9 @@ scan; calling cusp_scan too would scan the box a second time), then one
 query (arithmetic_system plus cusp_obstruction_check) per sampled cusp
 against a seeded arrangement of root-perpendicular hyperplanes.  A query
 is one latency sample.  Queries run in seeded order, a slice after every
-scan step, so that the samples spread over the whole pass.
+scan step, so that the samples spread over the whole pass.  E7 is left
+out: its box-1 scans and filter take about 12 s, so a run would hold a
+single pass.
 """
 
 from __future__ import annotations
@@ -19,17 +21,15 @@ from arrangekit import lattices
 
 import oracles as O
 
-LATTICES = {"full": (("E6", 6), ("E6", 4), ("E7", 4)), "tiny": (("E6", 6),)}
+LATTICES = {"full": (("E6", 6), ("E6", 4)), "tiny": (("E6", 6),)}
 HYPERPLANES = {"full": 24, "tiny": 6}
-# Cusps queried per lattice, a seeded sample.  E7 queries are the cheapest;
-# with most samples on E6/zeta4 the median falls inside one group.
-SAMPLE = {("E7", 4): 50, ("E6", 4): 150, ("E6", 6): 16}
+# Cusps queried per lattice, a seeded sample.
+SAMPLE = {("E6", 4): 60, ("E6", 6): 16}
 VERIFY_SAMPLE = 100  # scan hits re-checked per scan by the oracle
 
-# Recorded at the commit that introduced this benchmark; the E7/E6 zeta4
+# Recorded at the commit that introduced this benchmark; the E6/zeta4
 # counts agree with the package README and the scanner tests.
 EXPECTED = {
-    ("E7", 4): {"signature": (6, 1, 0), "roots": 19352, "isotropic": 5264, "cusps": 1316},
     ("E6", 4): {"signature": (5, 1, 0), "roots": 5080, "isotropic": 1152, "cusps": 288},
     ("E6", 6): {"signature": (5, 1, 0), "roots": 1356, "isotropic": 32, "cusps": 16},
 }
@@ -104,6 +104,8 @@ def run_pass(inp, led):
         res["cusps"] = _, cusps = led.call(lattices.primitive_up_to_units, iso or [])
         _, space = led.call(ak.HermSpace.from_gram, M)
         if cusps is not None and space is not None:
+            # in the oracle's canonical order, so the seed alone picks the queried cusps
+            cusps = sorted(cusps, key=lambda v: O.line_key([O.pair(c) for c in v], k))
             pending += [(res, space, cusps[i]) for i in lat.sample if i < len(cusps)]
             shuffle(pending)
         steps_left = _share(led, pending, steps_left)

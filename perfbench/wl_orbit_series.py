@@ -23,7 +23,7 @@ import oracles as O
 DIAGRAM, K, L_EXP = "E6", 4, 12
 SIZES = {
     # depth, poincare exact, poincare float, cusp limits, wp r=50, wp r=200
-    "full": (5, 60, 60, 4, 50, 30),
+    "full": (5, 24, 24, 2, 18, 12),
     "tiny": (2, 2, 2, 1, 2, 1),
 }
 S_VALUES = (0.0, 0.5, 1.0, 2.0)
