@@ -186,23 +186,18 @@ class Arrangement:
 class IntersectionPoset:
     """Positive-codimension intersections of arrangement members.
 
-    elements are sorted by (dim, canonical rows); membership[L] holds the
-    indices of hyperplanes strictly containing L.
+    elements are sorted by (dim, canonical rows); masks[i] has bit h set
+    when hyperplane h contains elements[i].  A flat is the intersection of
+    the hyperplanes through it, so L <= L' iff mask(L') is a submask of mask(L).
     """
 
-    __slots__ = ("arrangement", "elements", "membership", "_leq", "_index")
+    __slots__ = ("arrangement", "elements", "masks", "_index")
 
-    def __init__(self, arrangement, elements, membership):
+    def __init__(self, arrangement, elements, masks):
         self.arrangement = arrangement
         self.elements = elements
-        self.membership = membership
+        self.masks = masks
         self._index = {L: i for i, L in enumerate(elements)}
-        m = len(elements)
-        leq = [[False] * m for _ in range(m)]
-        for i, L in enumerate(elements):
-            for j, Lp in enumerate(elements):
-                leq[i][j] = i == j or (L.dim < Lp.dim and Lp.contains(L))
-        self._leq = leq
 
     def __len__(self):
         return len(self.elements)
@@ -215,33 +210,32 @@ class IntersectionPoset:
 
     def leq(self, L, Lp) -> bool:
         """Inclusion L <= L' as sets."""
-        return self._leq[self.index_of(L)][self.index_of(Lp)]
+        return not self.masks[self.index_of(Lp)] & ~self.masks[self.index_of(L)]
 
     def members_of(self, L):
-        return self.membership[L]
+        """Indices of the hyperplanes strictly containing L."""
+        if L.codim < 2:
+            return ()
+        mask = self.masks[self.index_of(L)]
+        return tuple(h for h in range(mask.bit_length()) if mask >> h & 1)
 
 
 def build_poset(arr: Arrangement) -> IntersectionPoset:
-    subs = [arr.hyperplane_subspace(i) for i in range(len(arr.hyperplanes))]
-    hyper = [s for s in subs if s is not None]
-    elements = set(hyper)
+    hyper = [arr.hyperplane_subspace(i) for i in range(len(arr.hyperplanes))]
+    masks = {H: 0 for H in hyper}
     work = list(hyper)
     while work:
         L = work.pop()
-        for H in hyper:
+        for h, H in enumerate(hyper):
             meet = L.intersect(H)
-            if meet is not None and meet not in elements:
-                elements.add(meet)
+            if meet == L:
+                # equal canonical rows: H contains the nonempty flat L
+                masks[L] |= 1 << h
+            elif meet is not None and meet not in masks:
+                masks[meet] = 0
                 work.append(meet)
-    ordered = sorted(elements, key=Subspace.key)
-    membership = {}
-    for L in ordered:
-        mem = []
-        for i, H in enumerate(hyper):
-            if H != L and H.contains(L):
-                mem.append(i)
-        membership[L] = tuple(mem)
-    return IntersectionPoset(arr, ordered, membership)
+    ordered = sorted(masks, key=Subspace.key)
+    return IntersectionPoset(arr, ordered, [masks[L] for L in ordered])
 
 
 def normal_dims(poset, L, Lp=None):
@@ -291,8 +285,12 @@ def enumerate_flags(poset, max_len: int):
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
     elements = poset.elements
+    masks = poset.masks
     m = len(elements)
-    above = [[j for j in range(m) if i != j and poset._leq[i][j]] for i in range(m)]
+    above = [
+        [j for j in range(m) if j != i and not masks[j] & ~masks[i]]
+        for i in range(m)
+    ]
     chains = []
 
     def grow(chain):

@@ -9,13 +9,13 @@ structured {"error": ...} payload on stdout.
 from __future__ import annotations
 
 import argparse
-import os
 import random
 import sys
 from fractions import Fraction
 
 from . import jsonio
 from .arrangements import (
+    FIELD_RINGS,
     Arrangement,
     Subspace,
     build_poset,
@@ -63,16 +63,6 @@ from .series import (
 )
 
 
-def thread_cap() -> int:
-    """Parallelism cap from ARRANGEKIT_THREADS; everything here runs on
-    one thread, so any positive cap is trivially honored."""
-    raw = os.environ.get("ARRANGEKIT_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 # ---------------------------------------------------------------------------
 # shared input plumbing
 
@@ -118,7 +108,7 @@ def _parse_point(text: str, field: str):
     parts = [p.strip() for p in text.split(",")]
     if field == "Q":
         return [Fraction(p) for p in parts]
-    k = jsonio.FIELD_RINGS[field]
+    k = FIELD_RINGS[field]
     return [parse_cycrat(p, k) for p in parts]
 
 
@@ -161,20 +151,15 @@ def cmd_poset(args):
 
 def _poset_dot(poset) -> str:
     lines = ["digraph poset {"]
-    m = len(poset.elements)
-    names = {}
-    for i, L in enumerate(poset.elements):
-        names[i] = "L%d" % i
+    elements, masks = poset.elements, poset.masks
+    for i, L in enumerate(elements):
         lines.append('  L%d [label="%s (dim %d)"];' % (i, L.equations_text(), L.dim))
-    for i in range(m):
-        for j in range(m):
-            if i != j and poset._leq[i][j]:
-                # covering edges only
-                if not any(
-                    k != i and k != j and poset._leq[i][k] and poset._leq[k][j]
-                    for k in range(m)
-                ):
-                    lines.append("  %s -> %s;" % (names[i], names[j]))
+    # flats are ranked by dimension, so the covers of L are the flats one
+    # dimension up that contain it
+    for i, L in enumerate(elements):
+        for j, Lp in enumerate(elements):
+            if Lp.dim == L.dim + 1 and not masks[j] & ~masks[i]:
+                lines.append("  L%d -> L%d;" % (i, j))
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -494,7 +479,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_arrangement_flags(p):
         p.add_argument(
-            "--preset", help="booleanN, linesN, braidN, or weyl-<A2|D4|E6|E7>"
+            "--preset",
+            help="booleanN, linesN, braidN, or weyl-<A1..A10|D4..D7|E6|E7>",
         )
         p.add_argument("--input", help="arrangement JSON (inline or file path)")
 
@@ -583,7 +569,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    thread_cap()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

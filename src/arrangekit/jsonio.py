@@ -10,14 +10,11 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .arrangements import Arrangement, Subspace
+from .arrangements import FIELD_RINGS, Arrangement, Subspace
 from .cyclo import CycRat, cyc_from_json, cyc_to_json
 from .errors import InvalidArrangement
 from .lattices import GraphSpec, reflection, orbit_expand, ring_of
 from .series import OrbitWindow
-
-FIELD_RINGS = {"Qi": 4, "Qw": 6}
-RING_FIELDS = {4: "Qi", 6: "Qw"}
 
 
 def load_json(source: str):
@@ -66,12 +63,23 @@ def graph_to_json(graph: GraphSpec, k: int):
 
 
 def arrangement_from_json(obj) -> Arrangement:
+    if not isinstance(obj, dict):
+        raise InvalidArrangement("arrangement must be a JSON object")
     field = obj.get("field", "Q")
     if field not in ("Q", "Qi", "Qw"):
         raise InvalidArrangement("unknown field %r" % (field,))
-    n = int(obj["dim"])
+    n = obj.get("dim")
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise InvalidArrangement("dim must be an integer, got %r" % (n,))
+    planes = obj.get("hyperplanes")
+    if not isinstance(planes, list):
+        raise InvalidArrangement("hyperplanes must be a list, got %r" % (planes,))
     hyperplanes = []
-    for h in obj["hyperplanes"]:
+    for i, h in enumerate(planes):
+        if not isinstance(h, dict):
+            raise InvalidArrangement("hyperplanes[%d] must be an object" % i)
+        if not isinstance(h.get("covector"), list):
+            raise InvalidArrangement("hyperplanes[%d].covector must be a list" % i)
         cov = [scalar_from_json(c, field) for c in h["covector"]]
         off = scalar_from_json(h.get("offset", "0" if field == "Q" else 0), field)
         hyperplanes.append((cov, off))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .cyclo import CycRat, units, vector_key, vector_content, is_unit, zeta
+from .cyclo import CycRat, is_unit, unit_canonical, units, vector_content, vector_key
 from .errors import (
     DimensionMismatch,
     GeneratorNotUnitary,
@@ -391,8 +391,6 @@ def primitive_up_to_units(vectors):
         g = vector_content(v)
         if not is_unit(g):
             continue
-        canon = min(
-            (tuple(u * c for c in v) for u in units(v[0].k)), key=vector_key
-        )
+        canon = unit_canonical(v)
         out[canon] = canon
     return sorted(out, key=vector_key)

@@ -173,8 +173,10 @@ def _chains_by_brute_force(poset, max_len):
     for size in range(1, max_len + 1):
         for combo in itertools.combinations(idx, size):
             ordered = tuple(sorted(combo, key=lambda i: poset.elements[i].dim))
+            # strict inclusion by a rank test, independent of the poset's order
             if all(
-                a != b and poset._leq[a][b]
+                poset.elements[a].dim < poset.elements[b].dim
+                and poset.elements[b].contains(poset.elements[a])
                 for a, b in zip(ordered, ordered[1:])
             ):
                 found.add(ordered)

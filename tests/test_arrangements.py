@@ -54,6 +54,22 @@ def braid3():
     return Arrangement("Q", 3, braid_hyperplanes(3))
 
 
+def parallel_lines():
+    """Non-central: x = 0 and x = 1 are parallel, y = 0 and x = y cross them."""
+    hyperplanes = [
+        ([F(1), F(0)], F(0)),
+        ([F(1), F(0)], F(1)),
+        ([F(0), F(1)], F(0)),
+        ([F(1), F(-1)], F(0)),
+    ]
+    return Arrangement("Q", 2, hyperplanes)
+
+
+def _strictly_below(L, Lp):
+    """Independent order: strict set inclusion through an echelon rank test."""
+    return L.dim < Lp.dim and Lp.contains(L)
+
+
 # -- independent oracle: subset-by-subset elimination over Fraction ----------
 
 
@@ -139,10 +155,31 @@ def test_poset_build_is_idempotent():
     a1 = build_poset(boolean3())
     a2 = build_poset(boolean3())
     assert [L.key() for L in a1.elements] == [L.key() for L in a2.elements]
-    assert a1._leq == a2._leq
+    pairs = [(L, Lp) for L in a1.elements for Lp in a1.elements]
+    assert [a1.leq(L, Lp) for L, Lp in pairs] == [a2.leq(L, Lp) for L, Lp in pairs]
     assert [a1.members_of(L) for L in a1.elements] == [
         a2.members_of(L) for L in a2.elements
     ]
+
+
+def test_leq_is_set_inclusion():
+    for arr in (boolean3(), lines3(), braid3(), parallel_lines()):
+        poset = build_poset(arr)
+        for L in poset.elements:
+            for Lp in poset.elements:
+                expected = L == Lp or _strictly_below(L, Lp)
+                assert poset.leq(L, Lp) == expected
+
+
+def test_parallel_lines_poset():
+    arr = parallel_lines()
+    poset = build_poset(arr)
+    points = [L for L in poset.elements if L.dim == 0]
+    # x=0 and x=1 never meet; each meets y=0 and x=y, which cross at the origin
+    assert len(points) == 3
+    assert sorted(poset.members_of(L) for L in points) == [(0, 2, 3), (1, 2), (1, 3)]
+    for i in range(4):
+        assert poset.members_of(arr.hyperplane_subspace(i)) == ()
 
 
 def test_arrangement_validation():
@@ -205,7 +242,7 @@ def _oracle_chains(poset, max_len):
         for combo in itertools.combinations(idx, size):
             ordered = sorted(combo, key=lambda i: poset.elements[i].dim)
             if all(
-                poset._leq[a][b] and a != b
+                _strictly_below(poset.elements[a], poset.elements[b])
                 for a, b in zip(ordered, ordered[1:])
             ):
                 chains.append(tuple(ordered))
@@ -463,3 +500,36 @@ def test_weyl_a2_poset_shape():
     assert len(poset) == 4
     dims = sorted(L.dim for L in poset.elements)
     assert dims == [0, 1, 1, 1]
+
+
+def _characteristic_polynomial(poset):
+    """Coefficients of chi(t), highest degree first, from the Moebius function.
+
+    mu(X) = -sum of mu(Y) over the ambient space and the flats Y strictly
+    containing X; chi(t) = t^n + sum_X mu(X) t^dim(X).
+    """
+    n = poset.arrangement.ambient_dim
+    mu = {}
+    for X in sorted(poset.elements, key=lambda L: -L.dim):
+        mu[X] = -1 - sum(mu[Y] for Y in mu if Y != X and poset.leq(X, Y))
+    coeffs = [0] * (n + 1)
+    coeffs[0] = 1
+    for X, m in mu.items():
+        coeffs[n - X.dim] += m
+    return coeffs
+
+
+def _expand(roots):
+    coeffs = [1]
+    for r in roots:
+        coeffs = [a - r * b for a, b in zip(coeffs + [0], [0] + coeffs)]
+    return coeffs
+
+
+def test_characteristic_polynomial_factors_by_exponents():
+    for name, exponents, regions in (("A3", (1, 2, 3), 24), ("D4", (1, 3, 3, 5), 192)):
+        chi = _characteristic_polynomial(build_poset(weyl_arrangement(name)))
+        assert chi == _expand(exponents)
+        # Zaslavsky: |chi(-1)| counts the chambers, i.e. the Weyl group order
+        n = len(chi) - 1
+        assert abs(sum(c * (-1) ** (n - d) for d, c in enumerate(chi))) == regions

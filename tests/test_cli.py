@@ -4,15 +4,17 @@ main() in process; a few run the entry point as a separate program
 
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
 import arrangekit
+from arrangekit.arrangements import build_poset
 from arrangekit.ball import perp_covector
-from arrangekit.cli import main
-from arrangekit.jsonio import dump_json, vector_to_json
+from arrangekit.cli import arrangement_preset, main
+from arrangekit.jsonio import arrangement_from_json, dump_json, vector_to_json
 from arrangekit.series import PlanarLattice, weierstrass_pk
 
 
@@ -63,6 +65,23 @@ def test_domain_errors_exit_one_with_payload(capsys):
     code, out = run_json(capsys, "cremona", "--preset", "boolean3", "--point", "0,1,1")
     assert code == 1
     assert out["error"].startswith("OnArrangement:")
+
+
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ('{"dim": 2, "hyperplanes": 5}', "hyperplanes must"),
+        ('{"dim": 2, "hyperplanes": [5]}', "hyperplanes[0] must"),
+        # a string covector of the right length must not pass as a list
+        ('{"dim": 1, "hyperplanes": [{"covector": "1"}]}', "hyperplanes[0].covector"),
+    ],
+)
+def test_malformed_arrangement_json_exits_one_with_payload(capsys, doc, field):
+    code, out = run_json(capsys, "poset", "--input", doc)
+    assert code == 1
+    assert set(out) == {"error"}
+    assert out["error"].startswith("InvalidArrangement:")
+    assert field in out["error"]
 
 
 def test_output_file_redirect(capsys, tmp_path):
@@ -144,6 +163,47 @@ def test_poset_dot_output(capsys):
     assert code == 0
     assert out.startswith("digraph poset {")
     assert out.count("->") == 3  # origin under each line
+
+
+PARALLEL_LINES = json.dumps(
+    {
+        "dim": 2,
+        "hyperplanes": [
+            {"covector": ["1", "0"]},
+            {"covector": ["1", "0"], "offset": "1"},
+            {"covector": ["0", "1"]},
+            {"covector": ["1", "1"]},
+        ],
+    }
+)
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--preset", "lines3"), ("--preset", "braid4"), ("--input", PARALLEL_LINES)],
+)
+def test_poset_dot_edges_are_the_covers(capsys, flag, value):
+    if flag == "--preset":
+        arr = arrangement_preset(value)
+    else:
+        arr = arrangement_from_json(json.loads(value))
+    elements = build_poset(arr).elements
+
+    def below(a, b):
+        # strict inclusion by a rank test, independent of the poset's order
+        return a.dim < b.dim and b.contains(a)
+
+    covers = {
+        (i, j)
+        for i, a in enumerate(elements)
+        for j, b in enumerate(elements)
+        if below(a, b) and not any(below(a, c) and below(c, b) for c in elements)
+    }
+    code, out = run(capsys, "poset", flag, value, "--dot")
+    assert code == 0
+    edges = {(int(i), int(j)) for i, j in re.findall(r"L(\d+) -> L(\d+);", out)}
+    assert edges == covers
+    assert out.count("->") == len(covers)
 
 
 def test_strata_command(capsys):
