@@ -25,7 +25,6 @@ from .errors import (
 )
 from .lattices import (
     as_cyc,
-    check_hermitian,
     enumerate_by_norm,
     herm_product,
     primitive_up_to_units,
@@ -55,14 +54,16 @@ class HermSpace:
     __slots__ = ("gram", "ring", "n", "negated", "_gram_c", "_hyp_cache")
 
     def __init__(self, gram, negated=False):
-        check_hermitian(gram)
+        # signature() checks that the form is Hermitian first
         sig = signature(gram).as_tuple()
-        size = len(gram)
-        if sig != (1, size - 1, 0):
+        if sig != (1, len(gram) - 1, 0):
             raise WrongSignature("need signature (1, n, 0), got %r" % (sig,))
+        self._fill(gram, negated)
+
+    def _fill(self, gram, negated):
         self.gram = tuple(tuple(row) for row in gram)
         self.ring = ring_of(gram)
-        self.n = size - 1
+        self.n = len(gram) - 1
         self.negated = negated
         self._gram_c = None
         self._hyp_cache = {}
@@ -73,10 +74,16 @@ class HermSpace:
         sig = signature(gram).as_tuple()
         size = len(gram)
         if sig == (1, size - 1, 0):
-            return cls(gram)
-        if sig == (size - 1, 1, 0):
-            return cls([[-x for x in row] for row in gram], negated=True)
-        raise WrongSignature("signature %r has no ball" % (sig,))
+            negated = False
+        elif sig == (size - 1, 1, 0):
+            gram = [[-x for x in row] for row in gram]
+            negated = True
+        else:
+            raise WrongSignature("signature %r has no ball" % (sig,))
+        # negation swaps the signature, so the one computed above suffices
+        space = cls.__new__(cls)
+        space._fill(gram, negated)
+        return space
 
     @property
     def size(self):
@@ -321,7 +328,7 @@ def hyperplane_is_hyperbolic(space: HermSpace, covector) -> bool:
     cov = [as_cyc(c, k) for c in covector]
     if not any(cov):
         return False
-    key = tuple((c.a, c.b) for c in cov)
+    key = tuple(cov)
     hit = space._hyp_cache.get(key)
     if hit is not None:
         return hit

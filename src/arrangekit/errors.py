@@ -19,6 +19,10 @@ class InvalidGraph(ArrangeKitError):
     pass
 
 
+class InvalidWindow(ArrangeKitError):
+    """A series window document of the wrong shape."""
+
+
 class DimensionMismatch(ArrangeKitError):
     pass
 

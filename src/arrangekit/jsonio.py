@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .arrangements import FIELD_RINGS, Arrangement, Subspace
 from .cyclo import CycRat, cyc_from_json, cyc_to_json
-from .errors import InvalidArrangement
+from .errors import InvalidArrangement, InvalidGraph, InvalidWindow
 from .lattices import GraphSpec, reflection, orbit_expand, ring_of
 from .series import OrbitWindow
 
@@ -52,10 +52,26 @@ def complex_to_json(c: complex):
     return {"re": c.real, "im": c.imag}
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def graph_from_json(obj):
-    k = int(obj.get("k", 4))
-    graph = GraphSpec(int(obj["vertices"]), [tuple(e) for e in obj.get("edges", [])])
-    return graph, k
+    if not isinstance(obj, dict):
+        raise InvalidGraph("graph must be a JSON object")
+    k = obj.get("k", 4)
+    if not _is_int(k) or k not in (4, 6):
+        raise InvalidGraph("k must be 4 or 6, got %r" % (k,))
+    n = obj.get("vertices")
+    if not _is_int(n):
+        raise InvalidGraph("vertices must be an integer, got %r" % (n,))
+    edges = obj.get("edges", [])
+    if not isinstance(edges, list):
+        raise InvalidGraph("edges must be a list, got %r" % (edges,))
+    for i, e in enumerate(edges):
+        if not (isinstance(e, list) and len(e) == 2 and all(map(_is_int, e))):
+            raise InvalidGraph("edges[%d] must be a list of two integers" % i)
+    return GraphSpec(n, [tuple(e) for e in edges]), k
 
 
 def graph_to_json(graph: GraphSpec, k: int):
@@ -69,7 +85,7 @@ def arrangement_from_json(obj) -> Arrangement:
     if field not in ("Q", "Qi", "Qw"):
         raise InvalidArrangement("unknown field %r" % (field,))
     n = obj.get("dim")
-    if not isinstance(n, int) or isinstance(n, bool):
+    if not _is_int(n):
         raise InvalidArrangement("dim must be an integer, got %r" % (n,))
     planes = obj.get("hyperplanes")
     if not isinstance(planes, list):
@@ -112,21 +128,43 @@ def cyc_vector_from_json(obj, k: int):
     return tuple(cyc_from_json(c, k) for c in obj)
 
 
+def _vectors_from_json(obj, field: str, k: int):
+    if not isinstance(obj, list):
+        raise InvalidWindow("%s must be a list, got %r" % (field, obj))
+    for i, v in enumerate(obj):
+        if not isinstance(v, list):
+            raise InvalidWindow("%s[%d] must be a list" % (field, i))
+    return [cyc_vector_from_json(v, k) for v in obj]
+
+
 def window_from_json(obj, gram) -> OrbitWindow:
     """Window as explicit vectors or as an orbit expansion spec."""
+    if not isinstance(obj, dict):
+        raise InvalidWindow("window must be a JSON object, got %r" % (obj,))
     k = ring_of(gram)
     n = len(gram) - 1
     if "vectors" in obj:
-        vectors = [cyc_vector_from_json(v, k) for v in obj["vectors"]]
+        vectors = _vectors_from_json(obj["vectors"], "window.vectors", k)
         return OrbitWindow(tuple(vectors), n)
-    spec = obj["orbit"]
-    seeds = [cyc_vector_from_json(v, k) for v in spec["seeds"]]
+    spec = obj.get("orbit")
+    if not isinstance(spec, dict):
+        raise InvalidWindow("window needs a vectors list or an orbit object")
+    seeds = _vectors_from_json(spec.get("seeds"), "window.orbit.seeds", k)
+    reflections = spec.get("reflections", [])
+    if not isinstance(reflections, list):
+        raise InvalidWindow("window.orbit.reflections must be a list")
     gens = []
-    for r in spec.get("reflections", []):
+    for i, r in enumerate(reflections):
+        if not (isinstance(r, dict) and isinstance(r.get("root"), list)):
+            raise InvalidWindow(
+                "window.orbit.reflections[%d] must be an object with a root list" % i
+            )
         root = cyc_vector_from_json(r["root"], k)
         mu = cyc_from_json(r.get("mu", -1), k)
         gens.append(reflection(gram, root, mu))
-    depth = int(spec.get("depth", 1))
+    depth = spec.get("depth", 1)
+    if not _is_int(depth):
+        raise InvalidWindow("window.orbit.depth must be an integer, got %r" % (depth,))
     vectors = orbit_expand(gram, seeds, gens, depth)
     return OrbitWindow(tuple(vectors), n)
 

@@ -68,7 +68,7 @@ def check_hermitian(M) -> None:
         if len(row) != n:
             raise DimensionMismatch("Gram matrix must be square")
     for i in range(n):
-        if M[i][i].b:
+        if not M[i][i].is_rational():
             raise ValueError("diagonal entry %d is not real" % i)
         for j in range(i + 1, n):
             if M[i][j] != M[j][i].conjugate():
@@ -100,15 +100,16 @@ def herm_product(M, x, y) -> CycRat:
         )
     k = ring_of(M)
     total = CycRat(0, 0, k)
+    y_conj = [as_cyc(c, k).conjugate() for c in y]
     for i in range(n):
         xi = as_cyc(x[i], k)
         if not xi:
             continue
         row = M[i]
         for j in range(n):
-            yj = as_cyc(y[j], k)
+            yj = y_conj[j]
             if yj and row[j]:
-                total = total + xi * yj.conjugate() * row[j]
+                total = total + xi * yj * row[j]
     return total
 
 
@@ -147,7 +148,7 @@ def signature(M) -> Signature:
         if pivot is not None:
             i = pivot
             d = G[i][i]
-            if d.a > 0:
+            if d._a > 0:
                 pos += 1
             else:
                 neg += 1
@@ -198,15 +199,13 @@ def _integer_form(M):
     n = len(M)
     k = ring_of(M)
     kappa = 1 if k == 6 else 0
-    scale = 1
-    for row in M:
-        for x in row:
-            scale = lcm(scale, x.a.denominator, x.b.denominator)
+    scale = lcm(*(x._d for row in M for x in row))
     C = [[0] * (2 * n) for _ in range(2 * n)]
     for i in range(n):
         for j in range(n):
-            a = int(M[i][j].a * scale)
-            b = int(M[i][j].b * scale)
+            x = M[i][j]
+            a = x._a * (scale // x._d)
+            b = x._b * (scale // x._d)
             C[i][j] = a
             C[n + i][n + j] = a
             C[i][n + j] = kappa * a + b

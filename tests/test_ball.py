@@ -79,6 +79,24 @@ def test_space_rejects_other_signatures():
         HermSpace.from_gram(degenerate)
 
 
+def test_from_gram_computes_the_signature_once(monkeypatch, e7_gram):
+    import arrangekit.ball as ball_module
+
+    calls = []
+
+    def counted(M):
+        calls.append(M)
+        return signature(M)
+
+    monkeypatch.setattr(ball_module, "signature", counted)
+    for gram in (e7_gram, [[-x for x in row] for row in e7_gram]):
+        calls.clear()
+        space = HermSpace.from_gram(gram)
+        assert len(calls) == 1
+        assert space.negated == (gram is e7_gram)
+        assert signature(space.gram).as_tuple() == (1, 6, 0)
+
+
 # -- membership ---------------------------------------------------------------
 
 

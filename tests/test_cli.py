@@ -84,6 +84,36 @@ def test_malformed_arrangement_json_exits_one_with_payload(capsys, doc, field):
     assert field in out["error"]
 
 
+@pytest.mark.parametrize(
+    "argv, kind, field",
+    [
+        (["lattice", "--input", "[1]"], "InvalidGraph", "graph must be a JSON object"),
+        (["lattice", "--input", '{"vertices": 2, "edges": 5}'], "InvalidGraph", "edges must"),
+        (["lattice", "--input", '{"vertices": 2, "edges": [[0]]}'], "InvalidGraph", "edges[0]"),
+        (["lattice", "--input", '{"vertices": "2"}'], "InvalidGraph", "vertices"),
+        (["lattice", "--input", '{"k": 5, "vertices": 2}'], "InvalidGraph", "k must"),
+        (
+            ["series", "--kind", "poincare", "--input",
+             '{"vertices": 2, "edges": [[0, 1]], "window": 5}'],
+            "InvalidWindow",
+            "window must",
+        ),
+        (
+            ["series", "--kind", "poincare", "--input",
+             '{"vertices": 2, "edges": [[0, 1]], "window": {"orbit": {"seeds": 3}}}'],
+            "InvalidWindow",
+            "window.orbit.seeds",
+        ),
+    ],
+)
+def test_malformed_graph_or_window_json_exits_one_with_payload(capsys, argv, kind, field):
+    code, out = run_json(capsys, *argv)
+    assert code == 1
+    assert set(out) == {"error"}
+    assert out["error"].startswith(kind + ":")
+    assert field in out["error"]
+
+
 def test_output_file_redirect(capsys, tmp_path):
     target = tmp_path / "poset.json"
     code, out = run(

@@ -249,6 +249,15 @@ def test_enumerate_output_is_sorted_and_on_target(e7_roots, e7_gram):
         assert herm_product(e7_gram, v, v) == 2
 
 
+def test_enumerate_order_is_the_fraction_part_order():
+    # the scan sorts on int keys; the order must be the one given by the
+    # Fraction parts of each coordinate
+    M = gram_matrix(dynkin_graph("E6"), 6)
+    hits = enumerate_by_norm(M, 0, 1)
+    assert len(hits) == 32
+    assert hits == sorted(hits, key=lambda v: tuple((Fraction(c.a), Fraction(c.b)) for c in v))
+
+
 def test_e7_box_counts(e7_roots, e7_gram):
     assert len(e7_roots) == 19352
     assert len(enumerate_by_norm(e7_gram, 0, 1)) == 5264
