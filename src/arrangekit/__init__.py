@@ -29,7 +29,6 @@ from .arrangements import (
     IntersectionPoset,
     Subspace,
     build_poset,
-    contract_flag,
     enumerate_flags,
     hat_map,
     hat_strata,
@@ -80,7 +79,6 @@ __all__ = [
     "Subspace",
     "arithmetic_system",
     "build_poset",
-    "contract_flag",
     "cusp_limit_check",
     "cusp_obstruction_check",
     "cusp_scan",

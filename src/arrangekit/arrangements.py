@@ -381,10 +381,6 @@ def hat_strata(poset, projective: bool = False):
     return out
 
 
-def contract_flag(flag: Flag) -> Subspace:
-    return flag.chain[-1]
-
-
 def _canonical_projective(coords, field):
     if field == "Q":
         den = lcm(*(c.denominator for c in coords)) if coords else 1

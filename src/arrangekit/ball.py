@@ -27,21 +27,12 @@ from .lattices import (
     as_cyc,
     enumerate_by_norm,
     herm_product,
+    perp_covector,
     primitive_up_to_units,
     ring_of,
     signature,
 )
-from .linalg import kernel_basis
-
-
-def perp_covector(M, v):
-    """Covector of psi(., v): entry i is psi(e_i, v)."""
-    n = len(M)
-    k = ring_of(M)
-    return tuple(
-        sum((M[i][j] * as_cyc(v[j], k).conjugate() for j in range(n)), CycRat(0, 0, k))
-        for i in range(n)
-    )
+from .linalg import identity, kernel_basis
 
 
 def _is_exact_vector(z) -> bool:
@@ -254,9 +245,7 @@ def heisenberg_transvection(space: HermSpace, e, v):
     c = perp_covector(space.gram, e)
     d = perp_covector(space.gram, v)
     half_norm = space.psi(v, v) / 2
-    T = [
-        [CycRat(1 if i == j else 0, 0, k) for j in range(size)] for i in range(size)
-    ]
+    T = identity(size, CycRat(1, 0, k))
     for i in range(size):
         for j in range(size):
             T[i][j] = T[i][j] + c[j] * v[i] - d[j] * e[i] - half_norm * c[j] * e[i]
@@ -273,10 +262,7 @@ def scaling_action(space: HermSpace, e, s):
     c = perp_covector(space.gram, e_exact)
     if isinstance(s, (int, Fraction, CycRat)):
         s = as_cyc(s, k)
-        T = [
-            [CycRat(1 if i == j else 0, 0, k) for j in range(size)]
-            for i in range(size)
-        ]
+        T = identity(size, CycRat(1, 0, k))
         for i in range(size):
             if e_exact[i]:
                 for j in range(size):
@@ -342,6 +328,17 @@ def hyperplane_is_hyperbolic(space: HermSpace, covector) -> bool:
     return result
 
 
+def _rows_through(arr, e, k):
+    """Equation rows (covector, then a zero offset) of the members through e."""
+    zero = CycRat(0, 0, k)
+    rows = []
+    for cov, _ in arr.hyperplanes:
+        cov = tuple(as_cyc(c, k) for c in cov)
+        if not sum((c * ec for c, ec in zip(cov, e)), zero):
+            rows.append(cov + (zero,))
+    return rows
+
+
 def arithmetic_system(space: HermSpace, arr, I_generator) -> Subspace:
     """J = I-perp intersected with every arrangement member through I.
 
@@ -358,15 +355,8 @@ def arithmetic_system(space: HermSpace, arr, I_generator) -> Subspace:
             raise InvalidArrangement("ball arrangements are central")
         if not hyperplane_is_hyperbolic(space, cov):
             raise InvalidArrangement("hyperplane misses the ball")
-    k = space.ring
-    zero = CycRat(0, 0, k)
-    rows = [tuple(perp_covector(space.gram, e)) + (zero,)]
-    for cov, _ in arr.hyperplanes:
-        value = sum((as_cyc(c, k) * ec for c, ec in zip(cov, e)), zero)
-        if not value:
-            rows.append(tuple(as_cyc(c, k) for c in cov) + (zero,))
-    J = Subspace.from_rows(rows, space.size)
-    return J
+    rows = [perp_covector(space.gram, e) + (CycRat(0, 0, space.ring),)]
+    return Subspace.from_rows(rows + _rows_through(arr, e, space.ring), space.size)
 
 
 @dataclass(frozen=True)
@@ -378,13 +368,7 @@ class ObstructionReport:
 def cusp_obstruction_check(space: HermSpace, arr, I_generator) -> ObstructionReport:
     """Classify the common intersection of the members through the cusp."""
     e = _validate_cusp(space, I_generator)
-    k = space.ring
-    zero = CycRat(0, 0, k)
-    rows = []
-    for cov, _ in arr.hyperplanes:
-        value = sum((as_cyc(c, k) * ec for c, ec in zip(cov, e)), zero)
-        if not value:
-            rows.append(tuple(as_cyc(c, k) for c in cov) + (zero,))
+    rows = _rows_through(arr, e, space.ring)
     if not rows:
         return ObstructionReport("empty", None)
     K = Subspace.from_rows(rows, space.size)

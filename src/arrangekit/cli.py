@@ -32,7 +32,6 @@ from .ball import (
     cusp_obstruction_check,
     cusp_scan,
     heisenberg_transvection,
-    perp_covector,
 )
 from .cyclo import CycRat, parse_cycrat
 from .errors import ArrangeKitError, UnsupportedType
@@ -40,9 +39,9 @@ from .lattices import (
     apply_matrix,
     enumerate_by_norm,
     gram_matrix,
-    herm_product,
     is_root,
     orbit_expand,
+    perp_covector,
     preserves_form,
     pullback_gram,
     reflection,
@@ -55,7 +54,6 @@ from .presets import (
     dynkin_graph,
 )
 from .series import (
-    OrbitWindow,
     PlanarLattice,
     cusp_limit_check,
     poincare_weierstrass,
@@ -283,17 +281,10 @@ def cmd_series(args):
         return _series_result_json(res)
 
     obj = jsonio.load_json(args.input)
-    if "gram" in obj:
-        k = int(obj.get("k", 4))
-        gram = [
-            [jsonio.cyc_from_json(c, k) for c in row] for row in obj["gram"]
-        ]
-    else:
-        graph, k = jsonio.graph_from_json(obj)
-        gram = gram_matrix(graph, k)
+    gram, k = jsonio.series_lattice_from_json(obj)
     window = jsonio.window_from_json(obj["window"], gram)
     z = _series_point(obj["z"], k)
-    l = args.l or int(obj["l"])
+    l = args.l or obj["l"]
     if args.kind == "poincare":
         res = poincare_weierstrass(z, window, l, gram)
         return _series_result_json(res)

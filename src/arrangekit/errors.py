@@ -23,6 +23,10 @@ class InvalidWindow(ArrangeKitError):
     """A series window document of the wrong shape."""
 
 
+class InvalidSeries(ArrangeKitError):
+    """A series input document whose gram, k, z, l, e or s_values is malformed."""
+
+
 class DimensionMismatch(ArrangeKitError):
     pass
 

@@ -12,8 +12,8 @@ from fractions import Fraction
 
 from .arrangements import FIELD_RINGS, Arrangement, Subspace
 from .cyclo import CycRat, cyc_from_json, cyc_to_json
-from .errors import InvalidArrangement, InvalidGraph, InvalidWindow
-from .lattices import GraphSpec, reflection, orbit_expand, ring_of
+from .errors import InvalidArrangement, InvalidGraph, InvalidSeries, InvalidWindow
+from .lattices import GraphSpec, gram_matrix, reflection, orbit_expand, ring_of
 from .series import OrbitWindow
 
 
@@ -167,6 +167,41 @@ def window_from_json(obj, gram) -> OrbitWindow:
         raise InvalidWindow("window.orbit.depth must be an integer, got %r" % (depth,))
     vectors = orbit_expand(gram, seeds, gens, depth)
     return OrbitWindow(tuple(vectors), n)
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def series_lattice_from_json(obj):
+    """Gram and ring of a series document (a "gram" over O_k or a graph).
+
+    Also checks the shapes of z, e, l and s_values, where present.
+    """
+    if not isinstance(obj, dict):
+        raise InvalidSeries("series input must be a JSON object")
+    for name in ("z", "e"):
+        if not isinstance(obj.get(name, []), list):
+            raise InvalidSeries("%s must be a list, got %r" % (name, obj[name]))
+    if not _is_int(obj.get("l", 0)):
+        raise InvalidSeries("l must be an integer, got %r" % (obj["l"],))
+    s_values = obj.get("s_values", [])
+    if not (isinstance(s_values, list) and all(map(_is_number, s_values))):
+        raise InvalidSeries("s_values must be a list of numbers, got %r" % (s_values,))
+    if "gram" not in obj:
+        graph, k = graph_from_json(obj)
+        return gram_matrix(graph, k), k
+    k = obj.get("k", 4)
+    if not _is_int(k) or k not in (4, 6):
+        raise InvalidSeries("k must be 4 or 6, got %r" % (k,))
+    rows = obj["gram"]
+    if not (
+        isinstance(rows, list)
+        and rows
+        and all(isinstance(row, list) and len(row) == len(rows) for row in rows)
+    ):
+        raise InvalidSeries("gram must be a nonempty square list of lists")
+    return [[cyc_from_json(c, k) for c in row] for row in rows], k
 
 
 def dump_json(obj) -> str:

@@ -8,7 +8,9 @@ argument and conjugate-linear in the second.
 
 The exact signature routine and the box enumerator are the workhorses:
 signatures drive every validity check downstream, and the enumerator is
-the only window onto the (infinite) root and isotropic sets.
+the only window onto the (infinite) root and isotropic sets.  It walks
+the box depth first in exact integers and cuts every branch that can no
+longer reach the target norm.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .errors import (
     InvalidGraph,
     NotARoot,
 )
+from .linalg import identity
 
 
 @dataclass(frozen=True)
@@ -179,6 +182,16 @@ def signature(M) -> Signature:
         ]
 
 
+def perp_covector(M, v):
+    """Covector of psi(., v): entry i is psi(e_i, v)."""
+    n = len(M)
+    k = ring_of(M)
+    return tuple(
+        sum((M[i][j] * as_cyc(v[j], k).conjugate() for j in range(n)), CycRat(0, 0, k))
+        for i in range(n)
+    )
+
+
 def is_root(M, v) -> bool:
     k = ring_of(M)
     return herm_product(M, v, v) == Fraction(k, 2)
@@ -213,20 +226,46 @@ def _integer_form(M):
     return C, scale
 
 
-def _box_vectors_exact(n, k, bound, C, scale_target):
-    from itertools import product
+def _box_scan(C, t, b):
+    """All nonzero integer u in [-b, b]^N with u C u^T = t, depth first.
 
+    u C u^T = sum_p C_pp u_p^2 + sum_{p<q} E_pq u_p u_q, E_pq = C_pq + C_qp.
+    With u_0..u_{d-1} fixed it is val + sum_{q>=d} lin_q u_q plus a
+    quadratic part in u_d.. ranging over [qlo[d], qhi[d]] on the box; a
+    branch is cut once t - val leaves that range widened by b*sum|lin_q|.
+    An explicit stack, not recursion, so the depth is unbounded.
+    """
+    N = len(C)
+    E = [[C[p][q] + C[q][p] for q in range(p + 1, N)] for p in range(N)]
+    b2 = b * b
+    qlo = [0] * (N + 1)
+    qhi = [0] * (N + 1)
+    for d in range(N - 1, -1, -1):
+        cross = b2 * sum(map(abs, E[d]))
+        qlo[d] = qlo[d + 1] + b2 * min(C[d][d], 0) - cross
+        qhi[d] = qhi[d + 1] + b2 * max(C[d][d], 0) + cross
     hits = []
-    rng = range(-bound, bound + 1)
-    for u in product(rng, repeat=2 * n):
-        q = sum(
-            u[p] * C[p][q_] * u[q_]
-            for p in range(2 * n)
-            for q_ in range(2 * n)
-            if u[p] and u[q_] and C[p][q_]
-        )
-        if q == scale_target and any(u):
-            hits.append(tuple(CycRat(u[i], u[n + i], k) for i in range(n)))
+    # a branch: the fixed prefix u, its value, and lin_q for q >= len(u)
+    stack = [((), 0, [0] * N)]
+    while stack:
+        u, val, lin = stack.pop()
+        d = len(u)
+        diag, row, lo, hi = C[d][d], E[d], qlo[d + 1], qhi[d + 1]
+        tail = lin[1:]
+        tail_slack = b * sum(map(abs, tail))
+        for x in range(-b, b + 1):
+            v = val + (diag * x + lin[0]) * x
+            if x:
+                rest = [l + e * x for l, e in zip(tail, row)]
+                slack = b * sum(map(abs, rest))
+            else:
+                rest, slack = tail, tail_slack
+            if lo - slack <= t - v <= hi + slack:
+                if d + 1 < N:
+                    stack.append((u + (x,), v, rest))
+                elif x or any(u):
+                    # at full depth the test above reads v == t
+                    hits.append(u + (x,))
     return hits
 
 
@@ -234,8 +273,8 @@ def enumerate_by_norm(M, target_norm, coeff_bound: int):
     """All nonzero v with |coordinate parts| <= coeff_bound and psi(v,v) = target.
 
     The box is scanned as an integer quadratic form in the 2n coefficient
-    parts; hits are re-verified exactly.  Output is sorted by the
-    coordinatewise (a, b) key so the order is reproducible.
+    parts, depth first with exact pruning (see _box_scan).  Output is
+    sorted by the coordinatewise (a, b) key so the order is reproducible.
     """
     if coeff_bound < 0:
         raise ValueError("coeff_bound must be nonnegative")
@@ -248,36 +287,10 @@ def enumerate_by_norm(M, target_norm, coeff_bound: int):
     t = Fraction(target_norm) * scale
     if t.denominator != 1:
         return []
-    t = t.numerator
-
-    abs_sum = sum(abs(c) for row in C for c in row)
-    m = 2 * coeff_bound + 1
-    total = m ** (2 * n)
-    if abs_sum * coeff_bound * coeff_bound < 2**53 and total > 4096:
-        import numpy as np
-
-        # every partial sum stays under 2**53, so the float64 pass is
-        # exact; the int64 recheck only guards the matching rows
-        Cf = np.array(C, dtype=np.float64)
-        Ci = np.array(C, dtype=np.int64)
-        pows = np.array([m**p for p in range(2 * n)], dtype=np.int64)
-        hits = []
-        chunk = 1 << 19
-        for start in range(0, total, chunk):
-            idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-            Z = ((idx[:, None] // pows[None, :]) % m - coeff_bound).astype(np.float64)
-            vals = ((Z @ Cf) * Z).sum(axis=1)
-            sel = Z[vals == t].astype(np.int64)
-            if not len(sel):
-                continue
-            exact = ((sel @ Ci) * sel).sum(axis=1)
-            for row in sel[exact == t]:
-                u = [int(c) for c in row]
-                if any(u):
-                    hits.append(tuple(CycRat(u[i], u[n + i], k) for i in range(n)))
-    else:
-        hits = _box_vectors_exact(n, k, coeff_bound, C, t)
-
+    hits = [
+        tuple(CycRat(u[i], u[n + i], k) for i in range(n))
+        for u in _box_scan(C, t.numerator, coeff_bound)
+    ]
     hits.sort(key=vector_key)
     return hits
 
@@ -302,11 +315,8 @@ def reflection(M, r, mu):
     nr = herm_product(M, r, r)
     factor = (CycRat(1, 0, k) - mu) / nr
     # c_j = psi(e_j, r), so that sum_j c_j x_j = psi(x, r)
-    c = [
-        sum((M[j][l] * as_cyc(r[l], k).conjugate() for l in range(n)), CycRat(0, 0, k))
-        for j in range(n)
-    ]
-    S = [[CycRat(1 if i == j else 0, 0, k) for j in range(n)] for i in range(n)]
+    c = perp_covector(M, r)
+    S = identity(n, CycRat(1, 0, k))
     for i in range(n):
         ri = as_cyc(r[i], k)
         if not ri:

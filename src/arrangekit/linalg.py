@@ -1,15 +1,12 @@
 """Exact dense linear algebra over Fraction or CycRat entries.
 
 Everything here works on plain lists of lists.  Scalars only need the
-field operations, truthiness for zero tests, and a conjugate() method
-(Fraction inherits one from numbers.Complex, CycRat defines its own).
-Matrices stay small throughout the package, so no pivot strategy beyond
-first-nonzero is needed.
+field operations and truthiness for zero tests.  Matrices stay small
+throughout the package, so no pivot strategy beyond first-nonzero is
+needed.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 
 def mat_copy(rows):
@@ -28,14 +25,6 @@ def matmul(A, B):
         [sum((A[i][l] * B[l][j] for l in range(inner)), A[i][0] * 0) for j in range(m)]
         for i in range(n)
     ]
-
-
-def mat_vec(A, v):
-    return [sum((A[i][j] * v[j] for j in range(len(v))), A[i][0] * 0) for i in range(len(A))]
-
-
-def conj_transpose(M):
-    return [[M[j][i].conjugate() for j in range(len(M))] for i in range(len(M[0]))]
 
 
 def rref(rows):
@@ -87,16 +76,3 @@ def kernel_basis(rows, ncols: int, one):
         basis.append(v)
     return basis
 
-
-def solve(A, b, one):
-    """One exact solution of A x = b (free variables zero), or None."""
-    zero = one - one
-    aug = [list(row) + [val] for row, val in zip(A, b)]
-    reduced, pivots = rref(aug)
-    ncols = len(A[0]) if A else 0
-    if ncols in pivots:
-        return None
-    x = [zero] * ncols
-    for r, c in zip(reduced, pivots):
-        x[c] = r[ncols]
-    return x

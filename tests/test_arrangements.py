@@ -12,7 +12,6 @@ from arrangekit.arrangements import (
     Flag,
     Subspace,
     build_poset,
-    contract_flag,
     enumerate_flags,
     hat_map,
     hat_strata,
@@ -407,19 +406,6 @@ def test_hat_strata_reverses_order():
     strata = dict(hat_strata(poset))
     # smaller subspace, bigger projectivized normal
     assert strata[origin.equations_text()] > strata[line.equations_text()]
-
-
-def test_contract_flag():
-    poset = build_poset(boolean3())
-    origin, line = _origin_and_line(poset)
-    assert contract_flag(Flag([origin])) == origin
-    assert contract_flag(Flag([origin, line])) == line
-    # flags sharing the top land on the same stratum
-    lines = [L for L in poset.elements if L.dim == 1]
-    plane = next(L for L in poset.elements if L.dim == 2 and L.contains(lines[0]))
-    f1 = Flag([lines[0], plane])
-    f2 = Flag([origin, plane])
-    assert contract_flag(f1) == contract_flag(f2)
 
 
 # -- coordinate-inverse map -----------------------------------------------------

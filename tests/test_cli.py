@@ -114,6 +114,36 @@ def test_malformed_graph_or_window_json_exits_one_with_payload(capsys, argv, kin
     assert field in out["error"]
 
 
+SERIES_GRAM = '"k": 4, "gram": [[{"a": "1"}, 0], [0, {"a": "-1"}]], "window": {"vectors": [[0, 2]]}'
+
+
+@pytest.mark.parametrize(
+    "kind, doc, field",
+    [
+        ("poincare", '{"gram": 5, "window": {"vectors": [[0, 2]]}, "z": ["1"], "l": 4}', "gram must"),
+        ("poincare", '{"gram": [], "window": {"vectors": [[0, 2]]}, "z": ["1"], "l": 4}', "gram must"),
+        (
+            "poincare",
+            '{"vertices":2,"edges":[[0,1]],"window":{"vectors":[[1,0]]},"z":5,"l":4}',
+            "z must",
+        ),
+        ("poincare", '{%s, "z": ["1", "-1/4"], "l": "4"}' % SERIES_GRAM, "l must"),
+        ("cusp-limit", '{%s, "z": ["1", "-1/4"], "l": 4, "e": 7}' % SERIES_GRAM, "e must"),
+        (
+            "cusp-limit",
+            '{%s, "z": ["1", "-1/4"], "l": 4, "e": [1, 1], "s_values": 5}' % SERIES_GRAM,
+            "s_values must",
+        ),
+    ],
+)
+def test_malformed_series_json_exits_one_with_payload(capsys, kind, doc, field):
+    code, out = run_json(capsys, "series", "--kind", kind, "--input", doc)
+    assert code == 1
+    assert set(out) == {"error"}
+    assert out["error"].startswith("InvalidSeries:")
+    assert field in out["error"]
+
+
 def test_output_file_redirect(capsys, tmp_path):
     target = tmp_path / "poset.json"
     code, out = run(

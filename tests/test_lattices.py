@@ -240,6 +240,20 @@ def test_enumerate_matches_brute_force():
     assert enumerate_by_norm(M4, 2, 1) == _brute_box(M4, 4, 2, 1)
     # fractional target can still be hit after scaling, or be empty
     assert enumerate_by_norm(M4, Fraction(1, 2), 1) == []
+    # a 3^8 = 6561-point box, for a root norm and for the isotropic cone
+    D4 = gram_matrix(dynkin_graph("D4"), 4)
+    for norm in (2, 0):
+        hits = enumerate_by_norm(D4, norm, 1)
+        assert hits and hits == _brute_box(D4, 4, norm, 1)
+
+
+def test_enumerate_hits_on_the_edge_of_the_box_range():
+    # 2(a^2 + b^2) = 16 only at a, b = +-2: the largest value the box
+    # reaches, which the pruning must keep
+    M = [[c4(2)]]
+    hits = enumerate_by_norm(M, 16, 2)
+    assert len(hits) == 4
+    assert hits == _brute_box(M, 4, 16, 2)
 
 
 def test_enumerate_output_is_sorted_and_on_target(e7_roots, e7_gram):
@@ -261,6 +275,15 @@ def test_enumerate_order_is_the_fraction_part_order():
 def test_e7_box_counts(e7_roots, e7_gram):
     assert len(e7_roots) == 19352
     assert len(enumerate_by_norm(e7_gram, 0, 1)) == 5264
+
+
+def test_e8_eisenstein_cusp_scan():
+    # 3^16 ~ 43M box points; the cusps are what ball.cusp_scan returns
+    M = gram_matrix(dynkin_graph("E8"), 6)
+    isotropic = enumerate_by_norm(M, 0, 1)
+    assert len(isotropic) == 208
+    assert all(herm_product(M, v, v) == 0 for v in isotropic)
+    assert len(primitive_up_to_units(isotropic)) == 104
 
 
 def test_e7_box_counts_against_real_form_oracle(e7_gram):

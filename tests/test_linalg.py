@@ -2,17 +2,8 @@
 
 from fractions import Fraction
 
-from arrangekit.cyclo import CycRat, cyc, zeta
-from arrangekit.linalg import (
-    conj_transpose,
-    identity,
-    kernel_basis,
-    mat_vec,
-    matmul,
-    rank,
-    rref,
-    solve,
-)
+from arrangekit.cyclo import CycRat, zeta
+from arrangekit.linalg import identity, kernel_basis, matmul, rank, rref
 
 F = Fraction
 
@@ -46,16 +37,6 @@ def test_kernel_basis_annihilates():
     assert v[2] == 1  # free variable pinned to one
 
 
-def test_solve_consistent_and_not():
-    A = [[F(1), F(2)], [F(3), F(4)]]
-    x = solve(A, [F(5), F(6)], F(1))
-    assert mat_vec(A, x) == [F(5), F(6)]
-    assert solve([[F(1), F(1)], [F(1), F(1)]], [F(0), F(1)], F(1)) is None
-    # underdetermined: free variables are zeroed
-    x2 = solve([[F(1), F(1)]], [F(3)], F(1))
-    assert x2 == [F(3), F(0)]
-
-
 def test_cyclotomic_elimination():
     one = CycRat(1, 0, 4)
     i = zeta(4)
@@ -65,17 +46,6 @@ def test_cyclotomic_elimination():
     assert len(basis) == 1
     v = basis[0]
     assert v[0] + i * v[1] == 0
-
-
-def test_matmul_and_conj_transpose():
-    i = zeta(4)
-    one = cyc(1, 0, 4)
-    A = [[one, i], [cyc(0, 0, 4), one]]
-    At = conj_transpose(A)
-    assert At[1][0] == -i and At[0][1] == cyc(0, 0, 4)
-    AtA = matmul(At, A)
-    # (A* A) is Hermitian
-    assert AtA[0][1] == AtA[1][0].conjugate()
 
 
 def test_matmul_fraction_identity():
